@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race verify fault-check bench bench-smoke serve-smoke chaos-smoke chaos-smoke-short fleet-smoke fleet-smoke-short brownout-smoke brownout-smoke-short
+.PHONY: build test vet fmt-check race verify fault-check bench bench-smoke serve-smoke chaos-smoke chaos-smoke-short fleet-smoke fleet-smoke-short brownout-smoke brownout-smoke-short
 
 build:
 	$(GO) build ./...
@@ -11,10 +11,15 @@ test:
 vet:
 	$(GO) vet ./...
 
+# fmt-check fails when any Go file in the repo is not gofmt-formatted
+# (.bench_build holds the benchmark's copies of other checkouts).
+fmt-check:
+	@out=$$(find . -name '*.go' -not -path './.bench_build/*' -exec gofmt -l {} +); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
+
 race:
 	$(GO) test -race ./...
 
-# verify is the full pre-merge gate: compile, vet, plain tests, the race
+# verify is the full pre-merge gate: compile, vet, gofmt, plain tests, the race
 # detector over the whole tree (the crawl engine is heavily concurrent —
 # breaker, journal, and metrics are all shared state), a 1-iteration
 # smoke run of the replay benchmarks so a broken bench pipeline fails the
@@ -26,7 +31,7 @@ race:
 # SIGKILL/restart and a canary-rollback rollout via adwars-ctl), and a
 # shortened brownout run (two starved governed replicas overdriven until
 # the degradation ladder climbs, then proven to recover without flapping).
-verify: build vet test race bench-smoke serve-smoke chaos-smoke-short fleet-smoke-short brownout-smoke-short
+verify: build vet fmt-check test race bench-smoke serve-smoke chaos-smoke-short fleet-smoke-short brownout-smoke-short
 
 # bench records the full performance profile: one run regenerates all
 # five BENCH_*.json reports in the repo root.

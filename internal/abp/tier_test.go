@@ -16,13 +16,13 @@ import (
 func tierURLs() []string {
 	urls := append([]string(nil), benchURLs...)
 	return append(urls,
-		"http://benign0003.com/ads.js",     // exception (hot by construction) over block
-		"http://vendor0000.com/a.js",       // lowest-ordinal block
-		"http://vendor1995.com/x.png",      // high-ordinal block
-		"http://site1001.com/ads.js",       // mid-ordinal block
-		"http://detect0004.example/x.js",   // keyword reachable, options veto
-		"http://cdn.unrelated.net/app.js",  // pure miss
-		"http://example.com/café.js", // non-ASCII: token-index fallback
+		"http://benign0003.com/ads.js",    // exception (hot by construction) over block
+		"http://vendor0000.com/a.js",      // lowest-ordinal block
+		"http://vendor1995.com/x.png",     // high-ordinal block
+		"http://site1001.com/ads.js",      // mid-ordinal block
+		"http://detect0004.example/x.js",  // keyword reachable, options veto
+		"http://cdn.unrelated.net/app.js", // pure miss
+		"http://example.com/café.js",      // non-ASCII: token-index fallback
 	)
 }
 
@@ -417,11 +417,11 @@ func TestUsageCounters(t *testing.T) {
 	l.EnableUsage()
 	q := func(u string) Request { return Request{URL: u, Type: TypeScript, PageDomain: "p.com"} }
 
-	l.MatchRequest(q("http://ads.example/x.js"))        // block, ordinal 0
-	l.MatchRequest(q("http://ads.example/allowed/a"))   // exception, ordinal 1
-	l.MatchRequest(q("http://x.com/banner.png"))        // block, ordinal 2
-	l.MatchRequest(q("http://x.com/banner.café")) // fallback path, ordinal 2
-	l.MatchRequest(q("http://clean.example/app.js"))    // no match
+	l.MatchRequest(q("http://ads.example/x.js"))      // block, ordinal 0
+	l.MatchRequest(q("http://ads.example/allowed/a")) // exception, ordinal 1
+	l.MatchRequest(q("http://x.com/banner.png"))      // block, ordinal 2
+	l.MatchRequest(q("http://x.com/banner.café"))     // fallback path, ordinal 2
+	l.MatchRequest(q("http://clean.example/app.js"))  // no match
 
 	hits := l.AppendHits(nil, q("http://ads.example/y.js"))
 	_, _, ord := DecideHits(hits)
@@ -584,4 +584,3 @@ func TestUsageShardSpread(t *testing.T) {
 		t.Fatalf("all writes landed in %d shard(s) of %d", touched, len(u.banks))
 	}
 }
-

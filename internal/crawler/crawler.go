@@ -182,9 +182,9 @@ func CrawlMonth(ctx context.Context, a *wayback.Archive, domains []string, month
 		return nil, journalErr
 	}
 
-	markPartials(out)
+	sizes := markPartials(out)
 	out.recount()
-	cfg.Metrics.observeMonth(out, time.Since(started))
+	cfg.Metrics.observeMonth(out, sizes, time.Since(started))
 	return out, nil
 }
 
@@ -356,8 +356,9 @@ func (c *monthCrawler) pause(ctx context.Context, d time.Duration) error {
 }
 
 // markPartials applies the paper's partial-snapshot rule: discard HARs
-// whose size is below 10% of the average fetched HAR size.
-func markPartials(m *MonthResult) {
+// whose size is below 10% of the average fetched HAR size. It returns each
+// fetched snapshot's HAR size, indexed like m.Results.
+func markPartials(m *MonthResult) []int {
 	total, n := 0, 0
 	sizes := make([]int, len(m.Results))
 	for i, r := range m.Results {
@@ -368,7 +369,7 @@ func markPartials(m *MonthResult) {
 		}
 	}
 	if n == 0 {
-		return
+		return sizes
 	}
 	cutoff := total / n / 10
 	for i, r := range m.Results {
@@ -377,6 +378,7 @@ func markPartials(m *MonthResult) {
 			m.Results[i].Snapshot = nil
 		}
 	}
+	return sizes
 }
 
 // LiveSource produces current pages for the live-web crawl; ok=false for

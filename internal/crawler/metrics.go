@@ -46,18 +46,19 @@ type Metrics struct {
 	Resumed atomic.Int64
 }
 
-// observeMonth folds one month's results into the metrics.
-func (m *Metrics) observeMonth(res *MonthResult, took time.Duration) {
+// observeMonth folds one month's results into the metrics; harSizes holds
+// the HAR size of each fetched snapshot, indexed like res.Results.
+func (m *Metrics) observeMonth(res *MonthResult, harSizes []int, took time.Duration) {
 	if m == nil {
 		return
 	}
-	for _, r := range res.Results {
+	for i, r := range res.Results {
 		switch r.Status {
 		case StatusPending:
 			// Cancelled before completion: not an outcome.
 		case StatusOK:
 			m.PagesFetched.Add(1)
-			m.HARBytes.Add(int64(r.Snapshot.HAR.Size()))
+			m.HARBytes.Add(int64(harSizes[i]))
 		case StatusPartial:
 			m.PartialSnapshots.Add(1)
 		case StatusError:

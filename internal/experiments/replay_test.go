@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"context"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"adwars/internal/abp"
@@ -68,6 +70,47 @@ func TestReplayShardDeterminism(t *testing.T) {
 	for i := range seq.CorpusPos {
 		if par.CorpusPos[i] != seq.CorpusPos[i] {
 			t.Fatalf("8 shards: CorpusPos[%d] differs", i)
+		}
+	}
+}
+
+// TestRetroStreamingEquivalence is the gate for the streaming crawl:
+// RunRetrospective folds each month as soon as it is crawled and drops it,
+// while PrepareReplay + Run keep every month and fold afterwards. Both
+// must produce the same figures, first-match months, third-party tallies
+// and corpora, in the same order, at every shard count and with the
+// linear-scan ablation.
+func TestRetroStreamingEquivalence(t *testing.T) {
+	l, run := replayLab(t)
+	for _, c := range []struct {
+		shards int
+		linear bool
+	}{{1, false}, {8, false}, {1, true}} {
+		name := fmt.Sprintf("shards=%d linear=%v", c.shards, c.linear)
+		want := run.Run(c.shards, c.linear)
+		got, err := l.RunRetrospective(context.Background(), RetroConfig{
+			Months: l.RetroMonths(6), Shards: c.shards, LinearScan: c.linear,
+		})
+		if err != nil {
+			t.Fatalf("%s: RunRetrospective: %v", name, err)
+		}
+		if g, w := got.RenderFig5(), want.RenderFig5(); g != w {
+			t.Errorf("%s: Figure 5 diverged\n--- prepared\n%s--- streamed\n%s", name, w, g)
+		}
+		if g, w := got.RenderFig6(), want.RenderFig6(); g != w {
+			t.Errorf("%s: Figure 6 diverged\n--- prepared\n%s--- streamed\n%s", name, w, g)
+		}
+		if !reflect.DeepEqual(got.FirstMatch, want.FirstMatch) {
+			t.Errorf("%s: FirstMatch diverged", name)
+		}
+		if !reflect.DeepEqual(got.ThirdPartyMatched, want.ThirdPartyMatched) {
+			t.Errorf("%s: ThirdPartyMatched = %v, want %v", name, got.ThirdPartyMatched, want.ThirdPartyMatched)
+		}
+		if !reflect.DeepEqual(got.CorpusPos, want.CorpusPos) {
+			t.Errorf("%s: CorpusPos diverged (%d vs %d scripts)", name, len(got.CorpusPos), len(want.CorpusPos))
+		}
+		if !reflect.DeepEqual(got.CorpusNeg, want.CorpusNeg) {
+			t.Errorf("%s: CorpusNeg diverged (%d vs %d scripts)", name, len(got.CorpusNeg), len(want.CorpusNeg))
 		}
 	}
 }

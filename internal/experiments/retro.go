@@ -81,14 +81,23 @@ type RetroResult struct {
 
 // RunRetrospective crawls monthly top-N snapshots through the archive and
 // replays each against the filter-list version in force at that time —
-// exactly the paper's Figure 4 pipeline. The crawl and the replay are the
-// two halves of PrepareReplay + ReplayRun.Run; this runs both.
+// exactly the paper's Figure 4 pipeline. It streams: each month is
+// crawled, reduced to match inputs, replayed across the shards and folded
+// into the result before the next month is crawled, so memory stays
+// bounded by one month's snapshots plus the §5 corpus. The figures are
+// byte-identical to PrepareReplay + ReplayRun.Run, which run the same two
+// steps but keep every month for repeatable replay benchmarks.
 func (l *Lab) RunRetrospective(ctx context.Context, cfg RetroConfig) (*RetroResult, error) {
-	run, err := l.PrepareReplay(ctx, cfg)
+	cfg = cfg.withDefaults(l)
+	f := newRetroFold(l)
+	excluded, err := l.crawlRetro(ctx, cfg, func(mr *crawler.MonthResult, inputs []siteInput) {
+		f.foldMonth(mr, inputs, cfg.Shards, cfg.LinearScan)
+	})
 	if err != nil {
 		return nil, err
 	}
-	return run.Run(cfg.Shards, cfg.LinearScan), nil
+	f.res.Excluded = excluded
+	return f.res, nil
 }
 
 // ReplayRun holds one crawl's worth of monthly snapshots so the replay —
@@ -97,7 +106,8 @@ func (l *Lab) RunRetrospective(ctx context.Context, cfg RetroConfig) (*RetroResu
 // prepare time, so Run measures rule matching rather than DOM parsing.
 // Benchmarks crawl once and time Run under different shard counts and
 // match strategies; the determinism test asserts Run(1, …) and Run(n, …)
-// render identical figures.
+// render identical figures. Keeping every month costs memory that grows
+// with the crawl; RunRetrospective streams instead.
 type ReplayRun struct {
 	lab     *Lab
 	months  []*crawler.MonthResult
@@ -113,19 +123,46 @@ type siteInput struct {
 	views []*abp.Element
 }
 
-// PrepareReplay runs the crawl half of RunRetrospective: every month's
-// top-N snapshots fetched (with retry/backoff, checkpointing, and resume),
-// ready to be replayed against historic list versions.
-func (l *Lab) PrepareReplay(ctx context.Context, cfg RetroConfig) (*ReplayRun, error) {
+// withDefaults fills the crawl size, parallelism, replay fan-out and
+// schedule.
+func (cfg RetroConfig) withDefaults(l *Lab) RetroConfig {
 	if cfg.TopN <= 0 {
 		cfg.TopN = int(5000 * l.Scale())
 	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = 10
 	}
+	if cfg.Shards <= 0 {
+		cfg.Shards = cfg.Workers
+	}
 	if len(cfg.Months) == 0 {
 		cfg.Months = l.RetroMonths(1)
 	}
+	return cfg
+}
+
+// PrepareReplay runs the crawl half of RunRetrospective: every month's
+// top-N snapshots fetched (with retry/backoff, checkpointing, and resume),
+// ready to be replayed against historic list versions.
+func (l *Lab) PrepareReplay(ctx context.Context, cfg RetroConfig) (*ReplayRun, error) {
+	cfg = cfg.withDefaults(l)
+	run := &ReplayRun{lab: l, workers: cfg.Workers}
+	excluded, err := l.crawlRetro(ctx, cfg, func(mr *crawler.MonthResult, inputs []siteInput) {
+		run.months = append(run.months, mr)
+		run.inputs = append(run.inputs, inputs)
+	})
+	if err != nil {
+		return nil, err
+	}
+	run.exclude = excluded
+	return run, nil
+}
+
+// crawlRetro is the crawl half, one month at a time: it crawls the month,
+// reduces its snapshots to match inputs and hands both to each before the
+// next month's crawl starts. It returns the last month's count of
+// permanently excluded domains. cfg must have its defaults filled.
+func (l *Lab) crawlRetro(ctx context.Context, cfg RetroConfig, each func(*crawler.MonthResult, []siteInput)) (excluded int, err error) {
 	domains := l.World.TopDomains(cfg.TopN)
 	archCfg := wayback.DefaultConfig(l.Seed)
 	archCfg.Start, archCfg.End = l.World.Cfg.Start, l.World.Cfg.End
@@ -139,17 +176,16 @@ func (l *Lab) PrepareReplay(ctx context.Context, cfg RetroConfig) (*ReplayRun, e
 
 	var journal *crawler.Journal
 	if cfg.CheckpointPath != "" {
-		var err error
 		journal, err = crawler.OpenJournal(cfg.CheckpointPath, cfg.Resume)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: checkpoint: %w", err)
+			return 0, fmt.Errorf("experiments: checkpoint: %w", err)
 		}
 		defer journal.Close()
 		// Refuse journals from a different world: their artifacts would
 		// silently change the figures.
 		fp := fmt.Sprintf("seed=%d topn=%d", l.Seed, cfg.TopN)
 		if err := journal.Stamp(fp); err != nil {
-			return nil, fmt.Errorf("experiments: checkpoint: %w", err)
+			return 0, fmt.Errorf("experiments: checkpoint: %w", err)
 		}
 	}
 	// One breaker across all months: archive health is global, not
@@ -163,11 +199,10 @@ func (l *Lab) PrepareReplay(ctx context.Context, cfg RetroConfig) (*ReplayRun, e
 		Seed:    l.Seed,
 	}
 
-	run := &ReplayRun{lab: l, workers: cfg.Workers}
 	for _, month := range cfg.Months {
 		mr, err := crawler.CrawlMonth(ctx, arch, domains, month, crawlCfg)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: crawl %s: %w", stats.MonthLabel(month), err)
+			return 0, fmt.Errorf("experiments: crawl %s: %w", stats.MonthLabel(month), err)
 		}
 		// Reduce each snapshot to match inputs up front: URL truncation
 		// and HTML parsing are per-snapshot constants, so they belong to
@@ -185,11 +220,10 @@ func (l *Lab) PrepareReplay(ctx context.Context, cfg RetroConfig) (*ReplayRun, e
 			}
 			inputs[i] = siteInput{urls: urls, views: browser.DOMViews(snap.HTML)}
 		})
-		run.months = append(run.months, mr)
-		run.inputs = append(run.inputs, inputs)
-		run.exclude = mr.Counts[crawler.StatusExcluded]
+		each(mr, inputs)
+		excluded = mr.Counts[crawler.StatusExcluded]
 	}
-	return run, nil
+	return excluded, nil
 }
 
 // siteReplay is one site-month's match outcome against every list in
@@ -215,93 +249,112 @@ func (rr *ReplayRun) Run(shards int, linear bool) *RetroResult {
 	if shards <= 0 {
 		shards = rr.workers
 	}
+	f := newRetroFold(rr.lab)
+	for mi, mr := range rr.months {
+		f.foldMonth(mr, rr.inputs[mi], shards, linear)
+	}
+	f.res.Excluded = rr.exclude
+	return f.res
+}
+
+// retroFold is the replay's sequential state across months: the result
+// being built and the corpus dedup sets. Months must be folded in crawl
+// order.
+type retroFold struct {
+	lab              *Lab
+	res              *RetroResult
+	posSeen, negSeen map[string]bool
+}
+
+func newRetroFold(l *Lab) *retroFold {
 	res := &RetroResult{
-		Excluded:          rr.exclude,
 		FirstMatch:        map[string]map[string]time.Time{},
 		ThirdPartyMatched: map[string]int{},
 	}
 	for _, name := range ListNames {
 		res.FirstMatch[name] = map[string]time.Time{}
 	}
-	posSeen := map[string]bool{}
-	negSeen := map[string]bool{}
+	return &retroFold{lab: l, res: res, posSeen: map[string]bool{}, negSeen: map[string]bool{}}
+}
 
-	for mi, mr := range rr.months {
-		month := mr.Month
-		cov := MonthCoverage{
-			Month:         month,
-			NotArchived:   mr.Counts[crawler.StatusNotArchived],
-			Outdated:      mr.Counts[crawler.StatusOutdated],
-			Partial:       mr.Counts[crawler.StatusPartial],
-			HTTPTriggered: map[string]int{},
-			HTMLTriggered: map[string]int{},
-		}
-		var lists map[string]*abp.List
-		if linear {
-			// Baseline cost model: one fresh compile per list per month,
-			// like the pipeline before the per-revision cache.
-			lists = make(map[string]*abp.List, 2)
-			for name, h := range rr.lab.histories() {
-				if rev, ok := h.At(month); ok {
-					lists[name] = abp.NewList(name, rev.Rules)
-				} else {
-					lists[name] = nil
-				}
+// foldMonth replays one crawled month against the lists in force at that
+// time and folds the outcome into the result. It keeps nothing of mr or
+// inputs beyond the corpus script bodies, so a streaming caller can drop
+// the month afterwards.
+func (f *retroFold) foldMonth(mr *crawler.MonthResult, inputs []siteInput, shards int, linear bool) {
+	res := f.res
+	month := mr.Month
+	cov := MonthCoverage{
+		Month:         month,
+		NotArchived:   mr.Counts[crawler.StatusNotArchived],
+		Outdated:      mr.Counts[crawler.StatusOutdated],
+		Partial:       mr.Counts[crawler.StatusPartial],
+		HTTPTriggered: map[string]int{},
+		HTMLTriggered: map[string]int{},
+	}
+	var lists map[string]*abp.List
+	if linear {
+		// Baseline cost model: one fresh compile per list per month,
+		// like the pipeline before the per-revision cache.
+		lists = make(map[string]*abp.List, 2)
+		for name, h := range f.lab.histories() {
+			if rev, ok := h.At(month); ok {
+				lists[name] = abp.NewList(name, rev.Rules)
+			} else {
+				lists[name] = nil
 			}
-		} else {
-			lists = rr.lab.listsAt(month)
 		}
+	} else {
+		lists = f.lab.listsAt(month)
+	}
 
-		// Fan-out: match every surviving site against every list. The
-		// compiled lists are shared across workers — they are immutable
-		// and race-free by construction (see abp: precompiled matchers).
-		inputs := rr.inputs[mi]
-		replays := make([]siteReplay, len(mr.Results))
-		crawler.ForEach(context.Background(), shards, len(mr.Results), func(i int) {
-			if mr.Results[i].Status != crawler.StatusOK {
-				return
-			}
-			replays[i] = replaySite(lists, mr.Results[i].Domain, inputs[i], linear)
-		})
+	// Fan-out: match every surviving site against every list. The
+	// compiled lists are shared across workers — they are immutable
+	// and race-free by construction (see abp: precompiled matchers).
+	replays := make([]siteReplay, len(mr.Results))
+	crawler.ForEach(context.Background(), shards, len(mr.Results), func(i int) {
+		if mr.Results[i].Status != crawler.StatusOK {
+			return
+		}
+		replays[i] = replaySite(lists, mr.Results[i].Domain, inputs[i], linear)
+	})
 
-		// Fold: sequential, in crawl order — identical accounting to the
-		// old one-site-at-a-time loop.
-		for i, sr := range mr.Results {
-			if sr.Status != crawler.StatusOK {
+	// Fold: sequential, in crawl order — identical accounting to the
+	// old one-site-at-a-time loop.
+	for i, sr := range mr.Results {
+		if sr.Status != crawler.StatusOK {
+			continue
+		}
+		rep := replays[i]
+		siteMatched := false
+		for _, name := range ListNames {
+			if lists[name] == nil {
 				continue
 			}
-			rep := replays[i]
-			siteMatched := false
-			for _, name := range ListNames {
-				if lists[name] == nil {
-					continue
-				}
-				blockedURLs := rep.blocked[name]
-				if len(blockedURLs) > 0 {
-					cov.HTTPTriggered[name]++
-					if _, ok := res.FirstMatch[name][sr.Domain]; !ok {
-						res.FirstMatch[name][sr.Domain] = month
-						if anyThirdParty(blockedURLs, sr.Domain) {
-							res.ThirdPartyMatched[name]++
-						}
+			blockedURLs := rep.blocked[name]
+			if len(blockedURLs) > 0 {
+				cov.HTTPTriggered[name]++
+				if _, ok := res.FirstMatch[name][sr.Domain]; !ok {
+					res.FirstMatch[name][sr.Domain] = month
+					if anyThirdParty(blockedURLs, sr.Domain) {
+						res.ThirdPartyMatched[name]++
 					}
-					siteMatched = true
-					collectPositives(sr.Snapshot, blockedURLs, posSeen, &res.CorpusPos)
 				}
-				if rep.htmlHit[name] {
-					cov.HTMLTriggered[name]++
-				}
+				siteMatched = true
+				collectPositives(sr.Snapshot, blockedURLs, f.posSeen, &res.CorpusPos)
 			}
-			if !siteMatched {
-				// Keep the pool generously oversized; Corpus.trim
-				// enforces the final 10:1 imbalance uniformly, so the
-				// negative class spans the whole crawl window.
-				collectNegatives(sr.Snapshot, negSeen, &res.CorpusNeg, 25*len(posSeen)+500)
+			if rep.htmlHit[name] {
+				cov.HTMLTriggered[name]++
 			}
 		}
-		res.Months = append(res.Months, cov)
+		if !siteMatched {
+			// Keep the pool generously oversized; Corpus.trim
+			// enforces the final 10:1 imbalance uniformly, so the
+			// negative class spans the whole crawl window.
+			collectNegatives(sr.Snapshot, f.negSeen, &res.CorpusNeg, 25*len(f.posSeen)+500)
+		}
 	}
-	return res
+	res.Months = append(res.Months, cov)
 }
 
 // replaySite matches one prepared site-month against every list in force:

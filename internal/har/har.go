@@ -7,7 +7,9 @@ package har
 import (
 	"encoding/json"
 	"fmt"
+	"strconv"
 	"time"
+	"unicode/utf8"
 
 	"adwars/internal/abp"
 )
@@ -166,13 +168,114 @@ func Union(logs ...*Log) *Log {
 	return out
 }
 
-// Size returns the serialized size in bytes; the crawler uses it to detect
-// partial snapshots (the paper discards HARs under 10% of a site's average
-// yearly HAR size).
+// Size returns len(Marshal(l)) without encoding the log; the crawler
+// uses it to detect partial snapshots (the paper discards HARs under 10%
+// of a site's average yearly HAR size). It returns 0 when Marshal would
+// fail: a timestamp RFC 3339 cannot express.
 func (l *Log) Size() int {
-	b, err := Marshal(l)
-	if err != nil {
+	if l == nil {
+		return len(`{"log":null}`)
+	}
+	n := len(`{"log":{"version":`) + stringLen(l.Version) +
+		len(`,"creator":{"name":`) + stringLen(l.Creator.Name) +
+		len(`,"version":`) + stringLen(l.Creator.Version) +
+		len(`},"pages":`) + len(`,"entries":`) + len(`}}`)
+	ok := true
+	n += arrayLen(l.Pages, func(p *Page) int {
+		tl, tok := timeLen(p.StartedDateTime)
+		ok = ok && tok
+		return len(`{"startedDateTime":`) + tl +
+			len(`,"id":`) + stringLen(p.ID) +
+			len(`,"title":`) + stringLen(p.Title) + len(`}`)
+	})
+	n += arrayLen(l.Entries, func(e *Entry) int {
+		tl, tok := timeLen(e.StartedDateTime)
+		ok = ok && tok
+		m := len(`{"pageref":`) + stringLen(e.PageRef) +
+			len(`,"startedDateTime":`) + tl +
+			len(`,"request":{"method":`) + stringLen(e.Request.Method) +
+			len(`,"url":`) + stringLen(e.Request.URL) +
+			len(`},"response":{"status":`) + intLen(e.Response.Status) +
+			len(`,"content":{"size":`) + intLen(e.Response.Content.Size) +
+			len(`,"mimeType":`) + stringLen(e.Response.Content.MimeType) +
+			len(`}}}`)
+		if rt := e.Request.ResourceType; rt != "" {
+			m += len(`,"_resourceType":`) + stringLen(rt)
+		}
+		if text := e.Response.Content.Text; text != "" {
+			m += len(`,"text":`) + stringLen(text)
+		}
+		return m
+	})
+	if !ok {
 		return 0
 	}
-	return len(b)
+	return n
+}
+
+// arrayLen is the encoded length of a JSON array: null for a nil slice,
+// else the bracketed, comma-separated elements.
+func arrayLen[T any](xs []T, elem func(*T) int) int {
+	if xs == nil {
+		return len("null")
+	}
+	n := len("[]")
+	for i := range xs {
+		if i > 0 {
+			n++
+		}
+		n += elem(&xs[i])
+	}
+	return n
+}
+
+// stringLen is the length of s as encoding/json writes it: quoted, with
+// <, > and & escaped for HTML, control bytes escaped, invalid UTF-8
+// replaced by \ufffd, and U+2028/U+2029 escaped.
+func stringLen(s string) int {
+	n := len(`""`)
+	for i := 0; i < len(s); {
+		b := s[i]
+		if b < utf8.RuneSelf {
+			switch {
+			case b == '"' || b == '\\' || b == '\b' || b == '\f' || b == '\n' || b == '\r' || b == '\t':
+				n += 2
+			case b < 0x20 || b == '<' || b == '>' || b == '&':
+				n += len(`\u0000`)
+			default:
+				n++
+			}
+			i++
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		if (r == utf8.RuneError && size == 1) || r == '\u2028' || r == '\u2029' {
+			n += len(`\ufffd`)
+		} else {
+			n += size
+		}
+		i += size
+	}
+	return n
+}
+
+// intLen is the length of v in decimal.
+func intLen(v int) int {
+	var buf [24]byte
+	return len(strconv.AppendInt(buf[:0], int64(v), 10))
+}
+
+// timeLen is the length of t as encoding/json writes it — a quoted
+// RFC 3339 timestamp with nanoseconds — and false when time.Time's
+// MarshalJSON refuses it (a year outside [0,9999] or a zone offset of 24
+// hours or more).
+func timeLen(t time.Time) (int, bool) {
+	if y := t.Year(); y < 0 || y > 9999 {
+		return 0, false
+	}
+	if _, off := t.Zone(); off <= -24*3600 || off >= 24*3600 {
+		return 0, false
+	}
+	var buf [len(time.RFC3339Nano) + 8]byte
+	return len(`""`) + len(t.AppendFormat(buf[:0], time.RFC3339Nano)), true
 }

@@ -107,3 +107,95 @@ func TestSizeReflectsContent(t *testing.T) {
 		t.Fatal("size must be positive")
 	}
 }
+
+// marshalLen is the reference Size must agree with: the encoded length,
+// or 0 when Marshal refuses the log.
+func marshalLen(t testing.TB, l *Log) int {
+	t.Helper()
+	b, err := Marshal(l)
+	if err != nil {
+		return 0
+	}
+	return len(b)
+}
+
+func TestSizeMatchesMarshal(t *testing.T) {
+	t0 := time.Date(2015, 6, 1, 12, 0, 0, 0, time.UTC)
+	withEntry := func(mod func(*Log)) *Log {
+		l := sampleLog()
+		mod(l)
+		return l
+	}
+	cases := map[string]*Log{
+		"nil log":     nil,
+		"empty":       New("c"),
+		"empty lists": {Pages: []Page{}, Entries: []Entry{}},
+		"sample":      sampleLog(),
+		"html escapes": withEntry(func(l *Log) {
+			l.Entries[1].Response.Content.Text = `if (a < b && c > d) { x = "<div>"; }`
+		}),
+		"short escapes": withEntry(func(l *Log) {
+			l.Entries[0].Request.URL = "a\"b\\c\bd\fe\nf\rg\th"
+		}),
+		"control bytes": withEntry(func(l *Log) {
+			l.Creator.Name = "\x00\x01\x1f\x7f"
+		}),
+		"invalid utf8": withEntry(func(l *Log) {
+			l.Pages[0].Title = "ok\xffbad\xc3\x28é世界"
+		}),
+		"line separators": withEntry(func(l *Log) {
+			l.Entries[2].Response.Content.MimeType = "a\u2028b\u2029c"
+		}),
+		"omitempty": withEntry(func(l *Log) {
+			l.Entries[1].Request.ResourceType = ""
+			l.Entries[1].Response.Content.Text = ""
+		}),
+		"negative ints": withEntry(func(l *Log) {
+			l.Entries[0].Response.Status = -404
+			l.Entries[0].Response.Content.Size = -1
+		}),
+		"nanoseconds and zone": withEntry(func(l *Log) {
+			l.Entries[0].StartedDateTime = t0.Add(123456789).In(time.FixedZone("X", -(5*3600 + 30*60)))
+			l.Pages[0].StartedDateTime = t0.Add(100 * time.Millisecond)
+		}),
+		"zero time": withEntry(func(l *Log) {
+			l.Entries[0].StartedDateTime = time.Time{}
+		}),
+		"year out of range": withEntry(func(l *Log) {
+			l.Entries[0].StartedDateTime = time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC)
+		}),
+		"negative year": withEntry(func(l *Log) {
+			l.Pages[0].StartedDateTime = time.Date(-1, 1, 1, 0, 0, 0, 0, time.UTC)
+		}),
+		"zone out of range": withEntry(func(l *Log) {
+			l.Entries[0].StartedDateTime = t0.In(time.FixedZone("Y", 24*3600))
+		}),
+		"zone at limit": withEntry(func(l *Log) {
+			l.Entries[0].StartedDateTime = t0.In(time.FixedZone("Y", 24*3600-1))
+		}),
+	}
+	for name, l := range cases {
+		if got, want := l.Size(), marshalLen(t, l); got != want {
+			t.Errorf("%s: Size() = %d, len(Marshal) = %d", name, got, want)
+		}
+	}
+}
+
+func FuzzSize(f *testing.F) {
+	f.Add("1.2", "page <1>", "http://a.com/x?y=1&z=2", "script", "var s = \"\\u2028\";\n", 200, int64(1433160000), int64(5), 0, false)
+	f.Add("", "\xff\xfe", "\x00\x1f\x7f", "", "", -1, int64(-62167219200), int64(0), 3600, true)
+	f.Add("v", "t", "u", "r", "b", 0, int64(253402300800), int64(999999999), -86400, false)
+	f.Fuzz(func(t *testing.T, version, title, url, rtype, body string, status int, sec, nsec int64, offset int, nilPages bool) {
+		at := time.Unix(sec, nsec).In(time.FixedZone("F", offset))
+		l := New(version)
+		pid := l.AddPage(title, at)
+		l.AddEntry(pid, url, abp.RequestType(rtype), status, body, at)
+		l.Entries = append(l.Entries, Entry{PageRef: title, Request: Request{Method: body, URL: rtype}})
+		if nilPages {
+			l.Pages = nil
+		}
+		if got, want := l.Size(), marshalLen(t, l); got != want {
+			t.Fatalf("Size() = %d, len(Marshal) = %d", got, want)
+		}
+	})
+}

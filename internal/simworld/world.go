@@ -8,14 +8,15 @@ package simworld
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math/rand"
 	"sort"
+	"sync"
 	"time"
 
 	"adwars/internal/abp"
 	"adwars/internal/alexa"
 	"adwars/internal/antiadblock"
+	"adwars/internal/stats"
 	"adwars/internal/web"
 )
 
@@ -378,7 +379,8 @@ func (w *World) LivePage(domain string) (*web.Page, bool) {
 // buildPage deterministically renders a site at a time: baseline content
 // plus, when a deployment is active, the anti-adblock machinery.
 func (w *World) buildPage(domain string, t time.Time) *web.Page {
-	rng := w.rng("content", domain, contentEpoch(t))
+	rng := w.pooledRNG("content", domain, contentEpoch(t))
+	defer rngPool.Put(rng)
 	p := web.NewPage(domain, domain)
 
 	// Baseline: stylesheet, images, a couple of benign scripts (some
@@ -416,7 +418,8 @@ func (w *World) buildPage(domain string, t time.Time) *web.Page {
 	if d := w.deployments[domain]; d != nil && d.ActiveAt(t) {
 		// Deployment randomness keyed to the deployment, not the month:
 		// the anti-adblock integration stays stable once added.
-		drng := w.rng("aab", domain, d.Start.Unix())
+		drng := w.pooledRNG("aab", domain, d.Start.Unix())
+		defer rngPool.Put(drng)
 		applyDeployment(d, p, drng, w.Cfg.Gen, w.StaticNotice(domain))
 	}
 	return p
@@ -445,10 +448,21 @@ func (w *World) rng(salt, domain string, epoch int64) *rand.Rand {
 	return rand.New(rand.NewSource(int64(w.hash64(salt, domain, epoch))))
 }
 
+// rngPool recycles the per-page generators: a fresh math/rand source is a
+// 4.9 KB allocation, and every page build needs one or two.
+var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+
+// pooledRNG is rng from the pool: Seed resets the source's whole state
+// and the read position, so it draws exactly what a fresh rng would. The
+// caller returns it to rngPool once done and must not keep it.
+func (w *World) pooledRNG(salt, domain string, epoch int64) *rand.Rand {
+	r := rngPool.Get().(*rand.Rand)
+	r.Seed(int64(w.hash64(salt, domain, epoch)))
+	return r
+}
+
 func (w *World) hash64(salt, domain string, epoch int64) uint64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%s|%s|%d|%d", salt, domain, epoch, w.Cfg.Seed)
-	return h.Sum64()
+	return stats.KeyHash(salt, domain, epoch, w.Cfg.Seed)
 }
 
 func (w *World) hashFloat(salt, domain string, epoch int64) float64 {

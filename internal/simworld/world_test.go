@@ -2,11 +2,13 @@ package simworld
 
 import (
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
 
 	"adwars/internal/jsast"
+	"adwars/internal/web"
 )
 
 // testWorld is a 1/20-scale world (top-5K universe) shared by tests.
@@ -275,38 +277,63 @@ func TestCategoryOfCoversTail(t *testing.T) {
 // TestConcurrentPageAt pins the documented guarantee that a built World is
 // read-only: crawler workers and replay shards call PageAt/LivePage on the
 // same World concurrently, and every worker must see the sequential
-// baseline exactly. Run under `go test -race`.
+// baseline exactly: markup, every request (URL and type) and every script.
+// The months cover pages with and without an active deployment, so the
+// pooled content and deployment generators are shared under load too. Run
+// under `go test -race`.
 func TestConcurrentPageAt(t *testing.T) {
 	w := New(Scaled(9, 50))
 	domains := w.TopDomains(40)
-	when := time.Date(2014, 6, 1, 0, 0, 0, 0, time.UTC)
-
-	type key struct {
-		domain string
-		urls   int
-		elems  int
+	months := []time.Time{
+		time.Date(2012, 3, 1, 0, 0, 0, 0, time.UTC),
+		time.Date(2014, 6, 1, 0, 0, 0, 0, time.UTC),
+		time.Date(2016, 7, 1, 0, 0, 0, 0, time.UTC),
 	}
-	baseline := make([]key, len(domains))
-	for i, d := range domains {
-		p, ok := w.PageAt(d, when)
-		if !ok {
-			t.Fatalf("PageAt(%s) missing", d)
+	render := func(p *web.Page) string {
+		var b strings.Builder
+		b.WriteString(web.RenderHTML(p))
+		for _, r := range p.Requests {
+			fmt.Fprintf(&b, "\n%s %s", r.URL, r.Type)
 		}
-		baseline[i] = key{d, len(p.Requests), len(p.Elements())}
+		for _, s := range p.Scripts {
+			b.WriteString(s.URL)
+			b.WriteString(s.Source)
+		}
+		return b.String()
+	}
+	baseline := map[string]string{}
+	deployed := 0
+	for _, m := range months {
+		for _, d := range domains {
+			p, ok := w.PageAt(d, m)
+			if !ok {
+				t.Fatalf("PageAt(%s) missing", d)
+			}
+			baseline[d+m.String()] = render(p)
+			for _, s := range p.Scripts {
+				if s.AntiAdblock {
+					deployed++
+					break
+				}
+			}
+		}
+	}
+	if deployed == 0 {
+		t.Fatal("no page carries a deployment; the aab stream is not exercised")
 	}
 
 	done := make(chan error, 8)
 	for worker := 0; worker < 8; worker++ {
 		go func() {
 			for i, d := range domains {
-				p, ok := w.PageAt(d, when)
+				m := months[(i+worker)%len(months)]
+				p, ok := w.PageAt(d, m)
 				if !ok {
 					done <- fmt.Errorf("PageAt(%s) missing under concurrency", d)
 					return
 				}
-				got := key{d, len(p.Requests), len(p.Elements())}
-				if got != baseline[i] {
-					done <- fmt.Errorf("PageAt(%s) = %+v, want %+v", d, got, baseline[i])
+				if render(p) != baseline[d+m.String()] {
+					done <- fmt.Errorf("PageAt(%s, %s) differs under concurrency", d, m.Format("2006-01"))
 					return
 				}
 				w.LivePage(d)
@@ -318,6 +345,43 @@ func TestConcurrentPageAt(t *testing.T) {
 	for worker := 0; worker < 8; worker++ {
 		if err := <-done; err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// draws records a mixed sequence of draws, the kinds page generation uses.
+func draws(r *rand.Rand) []int64 {
+	out := make([]int64, 0, 300)
+	for i := 0; i < 100; i++ {
+		out = append(out, int64(r.Intn(1000)), int64(r.Float64()*1e9), r.Int63())
+	}
+	return out
+}
+
+// TestPooledRNGMatchesFresh pins the property the pooled page generators
+// rely on: reseeding a used generator draws exactly what a fresh source
+// with the same seed draws, whatever state it was left in.
+func TestPooledRNGMatchesFresh(t *testing.T) {
+	w := &World{Cfg: Config{Seed: 17}}
+	used := rand.New(rand.NewSource(99))
+	for i, domain := range []string{"a.com", "news.example.org", "b.net"} {
+		for _, epoch := range []int64{-1, 0, 2014, 1467331200} {
+			want := draws(w.rng("content", domain, epoch))
+
+			pooled := w.pooledRNG("content", domain, epoch)
+			got := draws(pooled)
+			pooled.Intn(1 + i) // leave it mid-stream for the next Get
+			rngPool.Put(pooled)
+
+			used.Intn(7)
+			used.Seed(int64(w.hash64("content", domain, epoch)))
+			reseeded := draws(used)
+			for k := range want {
+				if got[k] != want[k] || reseeded[k] != want[k] {
+					t.Fatalf("%s/%d: draw %d: pooled %d, reseeded %d, fresh %d",
+						domain, epoch, k, got[k], reseeded[k], want[k])
+				}
+			}
 		}
 	}
 }

@@ -1,12 +1,14 @@
 // Package stats provides the small statistical helpers the experiment
 // harness uses: empirical CDFs (Figures 3 and 7), monthly time series
-// (Figures 1, 5, 6), and basic summaries.
+// (Figures 1, 5, 6), basic summaries, and the keyed hash the simulators
+// derive their deterministic draws from.
 package stats
 
 import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 )
@@ -130,4 +132,29 @@ func Lerp(a, b, frac float64) float64 {
 		frac = 1
 	}
 	return a + (b-a)*frac
+}
+
+// KeyHash is the 64-bit FNV-1a hash of the key "salt|domain|epoch|seed",
+// with both integers in decimal — the tuple the world and archive
+// simulators key every deterministic draw on. The key is built in a stack
+// buffer rather than formatted, so typical keys hash without allocating.
+func KeyHash(salt, domain string, epoch, seed int64) uint64 {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	var buf [128]byte
+	b := append(buf[:0], salt...)
+	b = append(b, '|')
+	b = append(b, domain...)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, epoch, 10)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, seed, 10)
+	h := uint64(offset64)
+	for _, c := range b {
+		h ^= uint64(c)
+		h *= prime64
+	}
+	return h
 }

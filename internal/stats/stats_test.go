@@ -1,6 +1,8 @@
 package stats
 
 import (
+	"fmt"
+	"hash/fnv"
 	"math"
 	"sort"
 	"testing"
@@ -123,5 +125,35 @@ func TestLerp(t *testing.T) {
 	}
 	if Lerp(0, 10, -1) != 0 || Lerp(0, 10, 2) != 10 {
 		t.Error("clamping wrong")
+	}
+}
+
+// TestKeyHashMatchesFormattedFNV pins KeyHash to the formula the
+// simulators' draws were first defined by: FNV-1a over
+// fmt.Sprintf("%s|%s|%d|%d", salt, domain, epoch, seed). Any drift would
+// silently change every figure at a fixed seed.
+func TestKeyHashMatchesFormattedFNV(t *testing.T) {
+	cases := []struct {
+		salt, domain string
+		epoch, seed  int64
+	}{
+		{"excl", "example.com", 0, 42},
+		{"defect", "news.example.co.uk", 24198, 1},
+		{"content", "a.com", 2016, -7},
+		{"aab", "b.net", -1, 9001},
+		{"aab", "c.org", -2208988800, 0},
+		{"", "", 0, 0},
+		{"fault|fetch|3", "x|y", math.MinInt64, math.MaxInt64},
+		{"unicode", "bücher.de", math.MaxInt64, math.MinInt64},
+	}
+	for _, c := range cases {
+		h := fnv.New64a()
+		fmt.Fprintf(h, "%s|%s|%d|%d", c.salt, c.domain, c.epoch, c.seed)
+		if got, want := KeyHash(c.salt, c.domain, c.epoch, c.seed), h.Sum64(); got != want {
+			t.Errorf("KeyHash(%q, %q, %d, %d) = %#x, want %#x", c.salt, c.domain, c.epoch, c.seed, got, want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { KeyHash("content", "example.com", -1, 42) }); n != 0 {
+		t.Errorf("KeyHash allocates %.0f times per call", n)
 	}
 }

@@ -9,7 +9,6 @@ package wayback
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"strings"
 	"time"
@@ -378,9 +377,7 @@ func monthKey(t time.Time) int64 {
 // hash64 is a deterministic 64-bit hash of the salt/domain/epoch/seed
 // tuple.
 func hash64(salt, domain string, epoch, seed int64) uint64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%s|%s|%d|%d", salt, domain, epoch, seed)
-	return h.Sum64()
+	return stats.KeyHash(salt, domain, epoch, seed)
 }
 
 // hashFloat maps hash64 to [0,1).
